@@ -118,8 +118,6 @@ def test_cross_region_routing(benchmark, r1_workload, emit):
     interleaved = c.get("xregion/replay/interleaved_arrivals", 0)
     vectorized = jumped + block + interleaved
     replays = c.get("xregion/replay/calls", 0)
-    ticks_replayed = c.get("repair/ticks_replayed", 0)
-    ticks_restored = c.get("repair/ticks_restored", 0)
     hits = c.get("repair/fingerprint_hits", 0)
     checked = hits + c.get("repair/fingerprint_misses", 0)
     dom = dominant_cost_center(doc)
@@ -134,9 +132,6 @@ def test_cross_region_routing(benchmark, r1_workload, emit):
         "functions_rereplayed": c.get("repair/functions_rereplayed", 0),
         "event_fallbacks": c.get("repair/event_fallbacks", 0),
         "fingerprint_hit_rate": round(hits / checked, 4) if checked else None,
-        "ticks_restored_share": round(
-            ticks_restored / (ticks_replayed + ticks_restored), 4
-        ) if ticks_replayed + ticks_restored else None,
         "replay_calls": replays,
         "replays_per_function": round(replays / max(len(traces) * 2, 1), 3),
         "scalar_arrival_share": round(scalar / max(scalar + vectorized, 1), 4),
@@ -149,11 +144,9 @@ def test_cross_region_routing(benchmark, r1_workload, emit):
             "unified repair driver amortizes the fixed-point rounds through "
             "fingerprint reuse (fingerprint_hit_rate of per-function "
             "schedules verify without a re-replay) and binds the "
-            "single-router schedule through the router's flat tick pass "
-            "(ticks_restored_share is populated instead when a policy set "
-            "takes the checkpointed machine pass). The event engine still "
-            "pays full sequential price for every arrival in its single "
-            "pass."
+            "single-router schedule through the router's flat tick pass. "
+            "The event engine still pays full sequential price for every "
+            "arrival in its single pass."
         ),
     }
     write_profile(doc, _RESULTS_DIR / "PROFILE_crossregion_vector.json")

@@ -9,8 +9,8 @@ Commands:
 * ``validate`` — integrity-check a saved trace bundle;
 * ``calibrate``— check generated traces against the paper's shape targets;
 * ``mitigate`` — replay a region under the §5 mitigation policies.
+
+The entry point is :func:`repro.cli.main.main`, run as ``python -m
+repro.cli.main``. It is not re-exported here: importing it from this
+package would make ``-m`` warn that the module is already imported.
 """
-
-from repro.cli.main import build_parser, main
-
-__all__ = ["main", "build_parser"]

@@ -36,7 +36,7 @@ from repro.mitigation.evaluator import (
     build_workload,
     build_workload_shard,
 )
-from repro.mitigation.keepalive import DynamicKeepAlive
+from repro.mitigation.keepalive import DynamicKeepAlive, FixedKeepAlive, KeepAlivePolicy
 from repro.mitigation.prewarm import (
     HistogramPrewarmPolicy,
     NoPrewarm,
@@ -71,6 +71,8 @@ __all__ = [
     "build_workload",
     "build_workload_shard",
     "DynamicKeepAlive",
+    "FixedKeepAlive",
+    "KeepAlivePolicy",
     "NoPrewarm",
     "HistogramPrewarmPolicy",
     "TimerPrewarmPolicy",

@@ -139,10 +139,9 @@ class BestRegionRouter(TickPolicy):
         """Flat restatement of a :class:`SchedulePass` bind over this
         router alone: fold each cold into the EMA in canonical order and
         emit ``decide``'s directive at every tick boundary — the same
-        arithmetic, minus the machine scaffolding. The warm-up guess
-        binds through this (a guess schedule only seeds the fixed
-        point, so the cheap path is free to exist); the repair rounds
-        always bind through the checkpointed machine pass.
+        arithmetic, minus the machine scaffolding. Both the warm-up
+        guess and the repair rounds bind through this; a router without
+        ``bind_flat`` binds through the machine pass instead.
         """
         emas = list(self.emas)
         alpha = self.alpha
@@ -186,10 +185,6 @@ class CrossRegionEvaluator:
 
     #: One repair-round budget for every engine — the shared driver's.
     _MAX_REPAIR_ROUNDS = RepairDriver._MAX_REPAIR_ROUNDS
-
-    #: Checkpoint the router machine between repair rounds (tests flip
-    #: this off to prove the restored-prefix path is bit-identical).
-    _REPAIR_CHECKPOINT = True
 
     def __init__(
         self,
@@ -535,7 +530,7 @@ class CrossRegionEvaluator:
             if bind_flat is None:
                 warm_pass = SchedulePass(
                     [guess_router], specs, function_ids, interval,
-                    span_index, checkpoint=False,
+                    span_index,
                 )
 
                 def bind_flat(cold_t, cold_wait, cold_region, iv, nt):
@@ -587,7 +582,6 @@ class CrossRegionEvaluator:
             repair_flat = getattr(router, "bind_flat", None)
             sched_pass = None if repair_flat is not None else SchedulePass(
                 [router], specs, function_ids, interval, span_index,
-                checkpoint=self._REPAIR_CHECKPOINT,
             )
 
             def bind_schedule(round_idx: int, outcomes_):

@@ -51,7 +51,6 @@ import heapq
 
 import numpy as np
 
-from repro.cluster.autoscaler import FixedKeepAlive, KeepAlivePolicy
 from repro.mitigation.base import (
     EvalMetrics,
     PeakShaver,
@@ -59,6 +58,7 @@ from repro.mitigation.base import (
     ShaveDirective,
     TickPolicy,
 )
+from repro.mitigation.keepalive import FixedKeepAlive, KeepAlivePolicy
 from repro.mitigation.tick import (
     EMPTY_F,
     EMPTY_I,
@@ -561,10 +561,6 @@ class RegionEvaluator:
     #: One repair-round budget for every engine — the shared driver's.
     _MAX_REPAIR_ROUNDS = RepairDriver._MAX_REPAIR_ROUNDS
 
-    #: Checkpoint the policy machine between repair rounds (tests flip
-    #: this off to prove the restored-prefix path is bit-identical).
-    _REPAIR_CHECKPOINT = True
-
     def _run_vector_coupled(
         self, traces: list[FunctionTrace], horizon_s: float, metrics: EvalMetrics
     ) -> None:
@@ -650,7 +646,6 @@ class RegionEvaluator:
         sched_pass = SchedulePass(
             policies, specs, function_ids, interval, span_index,
             tick_congestion=lambda k: congestion.at(k * interval),
-            checkpoint=self._REPAIR_CHECKPOINT,
         )
 
         def prepare_round(round_idx: int, outcomes_) -> bool:

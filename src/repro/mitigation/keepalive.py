@@ -1,24 +1,54 @@
-"""Dynamic keep-alive (paper §5, "Predicting cold starts").
+"""Keep-alive policies: the production default and the paper's dynamic one.
+
+The production platform keeps an idle pod warm for a fixed one minute
+(:class:`FixedKeepAlive`). The paper's §5 ("Predicting cold starts")
+proposes a dynamic keep-alive instead:
 
 "For functions running on timers less frequent than 1 minute, a keep alive
 time of 1 minute is unnecessary and wasteful. Cloud providers may consider
 a dynamic keep-alive time for such functions."
 
-The policy below uses the trigger metadata the provider already has: a
-timer whose period exceeds the default keep-alive can never be saved by it
-— the pod always dies before the next firing — so its pod is released
-almost immediately, reclaiming (keepalive - epsilon) pod-seconds per cold
-start at zero latency cost. Timers at or below the keep-alive keep the
-default (their pods genuinely stay warm).
+:class:`DynamicKeepAlive` uses the trigger metadata the provider already
+has: a timer whose period exceeds the default keep-alive can never be saved
+by it — the pod always dies before the next firing — so its pod is
+released almost immediately, reclaiming (keepalive - epsilon) pod-seconds
+per cold start at zero latency cost. Timers at or below the keep-alive keep
+the default (their pods genuinely stay warm).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cluster.autoscaler import KeepAlivePolicy
 from repro.cluster.lifecycle import DEFAULT_KEEPALIVE_S
 from repro.workload.function import FunctionSpec
+
+
+class KeepAlivePolicy:
+    """Decides how long an idle pod of a function stays warm."""
+
+    def keepalive_for(self, spec: FunctionSpec, now: float) -> float:
+        raise NotImplementedError
+
+    def describe(self) -> str:
+        return type(self).__name__
+
+
+@dataclass(frozen=True)
+class FixedKeepAlive(KeepAlivePolicy):
+    """Production default: the same keep-alive for every function."""
+
+    keepalive_s: float = DEFAULT_KEEPALIVE_S
+
+    def __post_init__(self) -> None:
+        if self.keepalive_s <= 0:
+            raise ValueError("keepalive_s must be positive")
+
+    def keepalive_for(self, spec: FunctionSpec, now: float) -> float:
+        return self.keepalive_s
+
+    def describe(self) -> str:
+        return f"fixed({self.keepalive_s:g}s)"
 
 
 @dataclass(frozen=True)

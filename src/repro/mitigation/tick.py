@@ -195,29 +195,20 @@ def canonical_event_order(
 
 
 class SchedulePass:
-    """Checkpointed sequential policy-machine pass over the tick clock.
+    """Sequential policy-machine pass over the tick clock.
 
-    One instance persists across a repair loop's rounds. Each round hands
-    in the tick inputs implied by the current outcomes — canonically
-    ordered cold columns and (for the coupled evaluator) the alive-pod
-    gauge; the arrival spans are fixed by construction. The pass finds
-    the first tick whose inputs differ from the previous round's, restores
-    the policy machines from the nearest snapshot at or before it, reuses
-    the previous schedule prefix, and re-steps only the suffix.
-
-    Restoring is exact: snapshots are deep copies taken *before* the
-    snapshot tick steps, and the machine state before tick ``c`` depends
-    only on inputs at ticks ``< c``, which are elementwise identical up
-    to the divergence point (both rounds' cold spans read only the shared
-    prefix of the sorted cold columns there). A reused schedule entry is
-    therefore the very action the machine would have re-emitted — same
-    values *and* same directive objects, which keeps identity-compared
-    custom directives stable across rounds.
+    One instance serves a repair loop's rounds. Each round hands in the
+    tick inputs implied by the current outcomes — canonically ordered
+    cold columns and (for the coupled evaluator) the alive-pod gauge; the
+    arrival spans are fixed by construction. Every round steps a fresh
+    deep copy of the given policies over all ticks, so a round's schedule
+    depends on its own inputs alone and the caller's policy instances are
+    never stepped.
     """
 
     def __init__(
         self, policies, specs, function_ids: np.ndarray, interval_s: float,
-        span_index: SpanIndex, *, tick_congestion=None, checkpoint: bool = True,
+        span_index: SpanIndex, *, tick_congestion=None,
     ):
         self._policies = list(policies)
         self._specs = specs
@@ -225,55 +216,6 @@ class SchedulePass:
         self._interval = float(interval_s)
         self._span_index = span_index
         self._tick_congestion = tick_congestion
-        self._checkpoint = bool(checkpoint)
-        # Snapshot at tick 0 is the pristine policy state; the caller's
-        # instances are never stepped (every run deep-copies a snapshot).
-        self._snapshots: list[tuple[int, list]] = [
-            (0, copy.deepcopy(self._policies))
-        ]
-        self._prev: dict | None = None
-
-    def _resume_tick(
-        self, n_ticks, cold_t, cold_wait, cold_fn, cold_region, cold_edges,
-        gauge,
-    ) -> int:
-        """First tick whose inputs may differ from the previous round."""
-        prev = self._prev
-        if prev is None or not self._checkpoint:
-            return 0
-        d = n_ticks if n_ticks == prev["n_ticks"] \
-            else min(n_ticks, prev["n_ticks"])
-        p_t, p_w, p_fn, p_r = prev["cold"]
-        m = min(cold_t.size, p_t.size)
-        neq = (
-            (cold_t[:m] != p_t[:m])
-            | (cold_wait[:m] != p_w[:m])
-            | (cold_fn[:m] != p_fn[:m])
-            | (cold_region[:m] != p_r[:m])
-        )
-        hit = np.flatnonzero(neq)
-        if hit.size:
-            p = int(hit[0])
-        elif cold_t.size != p_t.size:
-            p = m
-        else:
-            p = -1
-        if p >= 0:
-            # First tick whose cold span reaches past the common prefix,
-            # in either round (identical prefixes guarantee the edge
-            # arrays agree wherever both stay at or below ``p``).
-            d = min(
-                d,
-                int(np.searchsorted(cold_edges, p, side="right")),
-                int(np.searchsorted(prev["edges"], p, side="right")),
-            )
-        p_g = prev["gauge"]
-        if gauge is not None and p_g is not None:
-            gm = min(gauge.size, p_g.size)
-            ghit = np.flatnonzero(gauge[:gm] != p_g[:gm])
-            if ghit.size:
-                d = min(d, int(ghit[0]))
-        return d
 
     def run(
         self, n_ticks: int, *, cold_t, cold_wait, cold_fn, cold_region,
@@ -284,32 +226,14 @@ class SchedulePass:
         cold_edges = np.searchsorted(
             cold_t, np.arange(n_ticks) * interval, side="left"
         )
-        start = self._resume_tick(
-            n_ticks, cold_t, cold_wait, cold_fn, cold_region, cold_edges,
-            gauge,
-        )
-        si = 0
-        for idx in range(len(self._snapshots)):
-            if self._snapshots[idx][0] <= start:
-                si = idx
-            else:
-                break
-        start = self._snapshots[si][0]
-        del self._snapshots[si + 1:]
         machine = TickMachine(
-            copy.deepcopy(self._snapshots[si][1]), self._specs,
+            copy.deepcopy(self._policies), self._specs,
             self._function_ids, interval,
         )
-        schedule = list(self._prev["schedule"][:start]) if self._prev else []
         arr_edges = self._span_index.edges(n_ticks)
-        snap_every = max(32, n_ticks // 8)
         congestion_at = self._tick_congestion
-        for k in range(start, n_ticks):
-            if (
-                self._checkpoint and k > self._snapshots[-1][0]
-                and k % snap_every == 0
-            ):
-                self._snapshots.append((k, copy.deepcopy(machine.policies)))
+        schedule = []
+        for k in range(n_ticks):
             arrive_fn, arrive_t = self._span_index.span(k, arr_edges)
             lo, hi = (
                 (0, 0) if k == 0
@@ -330,19 +254,8 @@ class SchedulePass:
                     cold_region=cold_region[lo:hi],
                 )
             )
-        self._prev = {
-            "n_ticks": n_ticks,
-            "edges": cold_edges,
-            "gauge": gauge,
-            "cold": (cold_t, cold_wait, cold_fn, cold_region),
-            "schedule": schedule,
-        }
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.count_many((
-                ("repair/ticks_replayed", n_ticks - start),
-                ("repair/ticks_restored", start),
-            ))
+        if n_ticks:
+            get_telemetry().count("repair/ticks_replayed", n_ticks)
         return schedule
 
 
@@ -359,7 +272,7 @@ class RepairDriver:
 
     ``bind_schedule(round_idx, outcomes) -> ctx``
         Run the policy machine for this round (normally through a
-        persistent :class:`SchedulePass`) and return whatever context the
+        :class:`SchedulePass`) and return whatever context the
         other callbacks need to read the schedule.
     ``fingerprint(i, outcome, ctx) -> hashable``
         What the bound schedule makes item ``i``'s replay read.

@@ -169,7 +169,6 @@ def _render_repair_section(counters: dict) -> list[str]:
     hits = counters.get("repair/fingerprint_hits", 0)
     misses = counters.get("repair/fingerprint_misses", 0)
     replayed = counters.get("repair/ticks_replayed", 0)
-    restored = counters.get("repair/ticks_restored", 0)
     fallbacks = counters.get("repair/event_fallbacks", 0)
     lines = ["repair loop (fixed-point schedule repair):"]
     lines.append(f"  rounds to converge      {rounds:>14,}")
@@ -180,12 +179,8 @@ def _render_repair_section(counters: dict) -> list[str]:
             f"  fingerprint hit rate    {hits / checked:>13.1%}"
             f"  ({hits:,}/{checked:,})"
         )
-    ticks = replayed + restored
-    if ticks:
-        lines.append(
-            f"  ticks replayed          {replayed:>14,}"
-            f"  (checkpoint restored {restored:,} of {ticks:,})"
-        )
+    if replayed:
+        lines.append(f"  ticks replayed          {replayed:>14,}")
     if fallbacks:
         lines.append(f"  event-engine fallbacks  {fallbacks:>14,}")
     return lines

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli.main import build_parser, main
@@ -27,6 +32,22 @@ class TestParser:
     def test_generate_requires_output(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["generate"])
+
+    def test_module_runs_without_runpy_warning(self):
+        # ``python -m repro.cli.main`` must not find its module already
+        # imported by the package ``__init__`` (runpy's RuntimeWarning).
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.cli.main", "--help"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert "mitigate" in result.stdout
 
 
 class TestCommands:

@@ -10,6 +10,7 @@ from repro.mitigation import (
     ConcurrencyAdvisor,
     CrossRegionEvaluator,
     DynamicKeepAlive,
+    FixedKeepAlive,
     HistogramPrewarmPolicy,
     NoPrewarm,
     PredictivePoolPolicy,
@@ -83,6 +84,20 @@ class TestDynamicKeepAlive:
     def test_validation(self):
         with pytest.raises(ValueError):
             DynamicKeepAlive(released_s=120.0, default_s=60.0)
+
+    def test_fixed_keepalive(self):
+        policy = FixedKeepAlive(60.0)
+        spec = FunctionSpec(
+            function_id=1, user_id=1, runtime=Runtime.PYTHON3, triggers=(APIG_S,),
+            config=ResourceConfig(300, 128), mean_exec_s=0.05, cpu_millicores=100,
+            memory_mb=64,
+        )
+        assert policy.keepalive_for(spec, 0.0) == 60.0
+        assert "60" in policy.describe()
+
+    def test_fixed_keepalive_rejects_non_positive(self):
+        with pytest.raises(ValueError):
+            FixedKeepAlive(0)
 
 
 class TestPrewarm:
@@ -258,41 +273,40 @@ class TestCrossRegion:
         assert metrics.requests == sum(t.arrivals.size for t in traces)
         assert metrics.cold_starts + metrics.warm_hits == metrics.requests
 
-    def test_repair_checkpoint_restores_ticks_bit_identically(self, monkeypatch):
+    def test_machine_pass_repair_matches_event_engine(self, monkeypatch):
         """Routing feedback changes the schedule for several repair rounds;
-        the checkpointed machine pass must resume from a snapshot (fewer
-        ticks replayed) without perturbing a single metric bit.
+        binding each round through the :class:`SchedulePass` machine pass
+        must land on the event engine's metrics bit for bit, and on the
+        router's flat-bind metrics.
 
         ``bind_flat`` is removed so the repair rounds exercise the
-        checkpointed :class:`SchedulePass` rather than the router's flat
-        shortcut — the path any multi-policy or custom router takes.
+        :class:`SchedulePass` rather than the router's flat shortcut — the
+        path any multi-policy or custom router takes.
         """
         from repro.mitigation.cross_region import BestRegionRouter
         from repro.obs.telemetry import profiled
 
-        monkeypatch.delattr(BestRegionRouter, "bind_flat")
         profile, traces = build_workload("R1", seed=6, days=1, scale=0.1)
-        runs = {}
-        for checkpoint in (True, False):
-            evaluator = CrossRegionEvaluator(home="R1", remotes=("R3",), seed=2)
-            evaluator._REPAIR_CHECKPOINT = checkpoint
+
+        def run(engine):
+            evaluator = CrossRegionEvaluator(
+                home="R1", remotes=("R3",), seed=2, engine=engine
+            )
             with profiled() as tel:
                 metrics = evaluator.run(traces, policy=RoutingPolicy.BEST_REGION)
-            runs[checkpoint] = (metrics, dict(tel.counters))
-        m_on, c_on = runs[True]
-        m_off, c_off = runs[False]
+            return metrics, dict(tel.counters)
+
+        m_event, _ = run("event")
+        m_flat, _ = run("vector")
+        monkeypatch.delattr(BestRegionRouter, "bind_flat")
+        m_pass, c_pass = run("vector")
         # The schedule keeps changing past the first bind, so the repair
-        # loop genuinely re-binds — otherwise the checkpoint is untested.
-        assert c_on["repair/rounds"] >= 3
-        assert c_on["repair/functions_rereplayed"] > 0
-        # Checkpointing restores a snapshot prefix instead of replaying it.
-        assert c_on["repair/ticks_restored"] > 0
-        assert c_off.get("repair/ticks_restored", 0) == 0
-        assert c_on["repair/ticks_replayed"] < c_off["repair/ticks_replayed"]
-        assert (c_on["repair/ticks_replayed"] + c_on["repair/ticks_restored"]
-                == c_off["repair/ticks_replayed"])
-        # And the restored-prefix path is invisible in results.
-        assert m_on == m_off
+        # loop genuinely re-binds through the machine pass.
+        assert c_pass["repair/rounds"] >= 3
+        assert c_pass["repair/functions_rereplayed"] > 0
+        assert c_pass["repair/ticks_replayed"] > 0
+        assert m_pass == m_event
+        assert m_pass == m_flat
 
 
 class TestPoolPrediction:

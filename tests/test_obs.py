@@ -228,14 +228,14 @@ class TestProfileDocument:
             "repair/fingerprint_hits": 1171,
             "repair/fingerprint_misses": 17,
             "repair/ticks_replayed": 5000,
-            "repair/ticks_restored": 5080,
         })
         text = render_report(doc)
         assert "repair loop" in text
         assert "rounds to converge" in text
         # hit rate = 1171 / 1188
         assert "98.6%" in text
-        assert "checkpoint restored 5,080 of 10,080" in text
+        assert "ticks replayed                   5,000" in text
+        assert "checkpoint" not in text
         # no event fallbacks happened, so the line is omitted
         assert "event-engine fallbacks" not in text
 
